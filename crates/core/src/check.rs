@@ -21,6 +21,10 @@
 //!   the redundant line, never exceeds `⌊W/2⌋ + 1` (Stan & Burleson's
 //!   defining property, paper Section 2.1).
 //!
+//! Sibling explorers check the protection wrappers' contracts
+//! ([`check_hardened`], [`check_ecc`]) and the rollback contract of
+//! [`Decoder::rewind`] ([`check_rewind`]) the same way.
+//!
 //! The search is budgeted ([`CheckConfig`]); codes whose reachable state
 //! space exceeds the budget (the working-zone table on wide buses) get a
 //! [`Verdict::Bounded`] — every explored transition was checked, nothing
@@ -40,8 +44,8 @@
 //! ```
 
 use core::fmt;
-use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use crate::bus::{Access, AccessKind, BusState, BusWidth};
@@ -53,6 +57,7 @@ use crate::codes::{
     WorkingZoneEncoder,
 };
 use crate::error::CodecError;
+use crate::tier::Tier;
 use crate::traits::{CodeKind, CodeParams, Decoder, Encoder};
 
 /// Exploration budgets for [`check_code`].
@@ -459,7 +464,28 @@ where
     E: Encoder + Clone,
     D: Decoder + Clone,
 {
-    let mut inputs = vec![access];
+    Verdict::Failed(Box::new(Counterexample {
+        kind,
+        invariant,
+        detail,
+        trace: replay(exploration, index, Some(access), encoder, decoder),
+    }))
+}
+
+/// Replays the inputs that lead from reset to state `index` (followed by
+/// `last`, when given) through fresh codec halves.
+fn replay<E, D>(
+    exploration: &Exploration<E, D>,
+    index: usize,
+    last: Option<Access>,
+    encoder: &E,
+    decoder: &D,
+) -> Vec<TraceStep>
+where
+    E: Encoder + Clone,
+    D: Decoder + Clone,
+{
+    let mut inputs: Vec<Access> = last.into_iter().collect();
     let mut at = index;
     while at != 0 {
         let (parent, input) = exploration.parents[at];
@@ -469,7 +495,7 @@ where
     inputs.reverse();
     let mut enc = encoder.clone();
     let mut dec = decoder.clone();
-    let trace = inputs
+    inputs
         .into_iter()
         .map(|access| {
             let word = enc.encode(access);
@@ -480,13 +506,7 @@ where
                 decoded,
             }
         })
-        .collect();
-    Verdict::Failed(Box::new(Counterexample {
-        kind,
-        invariant,
-        detail,
-        trace,
-    }))
+        .collect()
 }
 
 /// Breadth-first exhaustive exploration of a [`Hardened`] codec pair,
@@ -880,6 +900,249 @@ where
     }
 }
 
+/// Model-checks [`Decoder::rewind`] on an arbitrary encoder/decoder pair
+/// — the engine behind [`check_rewind`], public so custom decoders (and
+/// seeded defects) can be checked against the same contract.
+///
+/// Explores the product automaton breadth-first from the pair's current
+/// state under conforming traffic, checking round-trip on every
+/// transition. Every distinct decoder state reached is then probed with
+/// every word it can observe: each payload, each pattern of the
+/// encoder's redundant lines, both `SEL` values. For each probe on which
+/// `decode` errs, `rewind` must restore behaviour:
+///
+/// - **rewind**: if the rewound state equals the original, the contract
+///   holds trivially. Otherwise — a wrapper whose refresh reset fired
+///   before the error keeps the reset inner state — the next `decode` of
+///   every observable word from the rewound state must return the same
+///   result *and* land in the same state as from the original. That is
+///   exactly the guarantee a supervisor relies on when it rewinds and
+///   retransmits: the retry behaves as if the rejected cycle never
+///   happened.
+///
+/// Every probe decode counts as a transition against `config`'s budget.
+/// A failure's trace replays the path from reset to the offending state;
+/// the detail names the rejected word and the word that then decodes
+/// differently.
+pub fn check_rewind_pair<E, D>(
+    kind: CodeKind,
+    params: CodeParams,
+    encoder: E,
+    decoder: D,
+    config: &CheckConfig,
+) -> Verdict
+where
+    E: Encoder + Clone + Eq + Hash,
+    D: Decoder + Clone + Eq + Hash,
+{
+    let width = params.width;
+    let mask = width.mask();
+    let alphabet: Vec<Access> = (0..=mask)
+        .flat_map(|a| [Access::instruction(a), Access::data(a)])
+        .collect();
+    let aux_patterns = 1u64 << encoder.aux_line_count();
+    let observable: Vec<(BusState, AccessKind)> = (0..=mask)
+        .flat_map(|payload| (0..aux_patterns).map(move |aux| BusState::new(payload, aux)))
+        .flat_map(|word| [(word, AccessKind::Instruction), (word, AccessKind::Data)])
+        .collect();
+
+    let root: State<E, D> = (encoder.clone(), decoder.clone(), BusState::reset());
+    let mut exploration = Exploration {
+        states: vec![root.clone()],
+        parents: vec![(usize::MAX, Access::instruction(0))],
+        transitions: 0,
+    };
+    let mut seen: HashMap<State<E, D>, usize> = HashMap::new();
+    seen.insert(root, 0);
+    let mut probed: HashSet<D> = HashSet::new();
+    let mut frontier: VecDeque<usize> = VecDeque::from([0]);
+
+    while let Some(index) = frontier.pop_front() {
+        let dec = exploration.states[index].1.clone();
+        if probed.insert(dec.clone()) {
+            if let Some(detail) = rewind_violation(&dec, &observable, &mut exploration.transitions)
+            {
+                let trace = replay(&exploration, index, None, &encoder, &decoder);
+                return Verdict::Failed(Box::new(Counterexample {
+                    kind,
+                    invariant: "rewind",
+                    detail,
+                    trace,
+                }));
+            }
+        }
+        for &access in &alphabet {
+            if exploration.transitions >= config.max_transitions
+                || exploration.states.len() >= config.max_states
+            {
+                return Verdict::Bounded {
+                    states: exploration.states.len(),
+                    transitions: exploration.transitions,
+                };
+            }
+            exploration.transitions += 1;
+            let (mut enc, mut dec, _prev_word) = exploration.states[index].clone();
+            let word = enc.encode(access);
+            let decoded = dec.decode(word, access.kind);
+            if !decoded.as_ref().is_ok_and(|&a| a == access.address & mask) {
+                let detail = match &decoded {
+                    Ok(addr) => format!("decoded {addr:#x}, expected {:#x}", access.address & mask),
+                    Err(e) => format!("decoder rejected a conforming word: {e}"),
+                };
+                return fail(
+                    kind,
+                    "round-trip",
+                    detail,
+                    &exploration,
+                    index,
+                    access,
+                    &encoder,
+                    &decoder,
+                );
+            }
+            // The previous bus word plays no part in the rewind contract;
+            // leaving it out of the state keeps the search small.
+            let next: State<E, D> = (enc, dec, BusState::reset());
+            if !seen.contains_key(&next) {
+                let id = exploration.states.len();
+                seen.insert(next.clone(), id);
+                exploration.states.push(next);
+                exploration.parents.push((index, access));
+                frontier.push_back(id);
+            }
+        }
+    }
+    Verdict::Proven {
+        states: exploration.states.len(),
+        transitions: exploration.transitions,
+    }
+}
+
+/// Probes one decoder state with every observable word; returns a
+/// description of the first rejected word whose rewind does not restore
+/// the state's behaviour.
+fn rewind_violation<D: Decoder + Clone + Eq>(
+    original: &D,
+    observable: &[(BusState, AccessKind)],
+    transitions: &mut u64,
+) -> Option<String> {
+    // Rewound states already shown to behave like `original`.
+    let mut equivalent: Vec<D> = Vec::new();
+    for &(rejected, rejected_kind) in observable {
+        *transitions += 1;
+        let mut rewound = original.clone();
+        if rewound.decode(rejected, rejected_kind).is_ok() {
+            continue;
+        }
+        rewound.rewind();
+        if rewound == *original || equivalent.contains(&rewound) {
+            continue;
+        }
+        for &(next, next_kind) in observable {
+            *transitions += 1;
+            let (mut want, mut got) = (original.clone(), rewound.clone());
+            let (want_out, got_out) = (want.decode(next, next_kind), got.decode(next, next_kind));
+            if want_out != got_out || want != got {
+                let drift = if want_out == got_out {
+                    " but a different state".to_string()
+                } else {
+                    String::new()
+                };
+                return Some(format!(
+                    "after rejecting payload={:#x} aux={:#b} and rewinding, payload={:#x} aux={:#b} \
+                     decodes to {got_out:?}{drift} instead of {want_out:?}",
+                    rejected.payload, rejected.aux, next.payload, next.aux
+                ));
+            }
+        }
+        equivalent.push(rewound);
+    }
+    None
+}
+
+/// Receives one code's concrete encoder/decoder pair from [`with_pair`].
+///
+/// The explorers hash and compare whole codec states, so they need the
+/// concrete `Clone + Eq + Hash` types rather than the boxed trait objects
+/// [`CodeKind::encoder`] builds; Rust has no generic closures, hence the
+/// one-method trait.
+trait PairVisitor {
+    type Output;
+
+    fn visit<E, D>(self, encoder: E, decoder: D) -> Result<Self::Output, CodecError>
+    where
+        E: Encoder + Clone + Eq + Hash,
+        D: Decoder + Clone + Eq + Hash;
+}
+
+/// Builds the same encoder/decoder pair as [`CodeKind::encoder`] /
+/// [`CodeKind::decoder`] as concrete types and hands it to `visitor`.
+///
+/// # Errors
+///
+/// Returns [`CodecError::InvalidParameter`] for widths above 16 bits (the
+/// state space is exponential in the width) and propagates constructor
+/// errors.
+fn with_pair<V: PairVisitor>(
+    kind: CodeKind,
+    params: CodeParams,
+    visitor: V,
+) -> Result<V::Output, CodecError> {
+    if params.width.bits() > 16 {
+        return Err(CodecError::InvalidParameter {
+            name: "width",
+            reason: format!(
+                "exhaustive checking requires width <= 16 bits, got {}",
+                params.width.bits()
+            ),
+        });
+    }
+    let w = params.width;
+    let s = params.stride;
+    match kind {
+        CodeKind::Binary => visitor.visit(BinaryEncoder::new(w), BinaryDecoder::new(w)),
+        CodeKind::Gray => visitor.visit(GrayEncoder::new(w, s)?, GrayDecoder::new(w, s)?),
+        CodeKind::BusInvert => visitor.visit(BusInvertEncoder::new(w), BusInvertDecoder::new(w)),
+        CodeKind::T0 => visitor.visit(T0Encoder::new(w, s)?, T0Decoder::new(w, s)?),
+        CodeKind::T0Bi => visitor.visit(T0BiEncoder::new(w, s)?, T0BiDecoder::new(w, s)?),
+        CodeKind::DualT0 => visitor.visit(DualT0Encoder::new(w, s)?, DualT0Decoder::new(w, s)?),
+        CodeKind::DualT0Bi => {
+            visitor.visit(DualT0BiEncoder::new(w, s)?, DualT0BiDecoder::new(w, s)?)
+        }
+        CodeKind::T0Xor => visitor.visit(T0XorEncoder::new(w, s)?, T0XorDecoder::new(w, s)?),
+        CodeKind::Offset => visitor.visit(OffsetEncoder::new(w), OffsetDecoder::new(w)),
+        CodeKind::WorkingZone => visitor.visit(
+            WorkingZoneEncoder::new(w, s, 4)?,
+            WorkingZoneDecoder::new(w, s, 4)?,
+        ),
+        CodeKind::Beach => visitor.visit(
+            BeachCode::identity(w).into_encoder(),
+            BeachCode::identity(w).into_decoder(),
+        ),
+        CodeKind::SelfOrganizing => {
+            // Mirror the CodeKind factory's geometry scaling.
+            let low_bits = 8.min(w.bits() - 1);
+            let entries = 16.min(w.bits() - low_bits);
+            visitor.visit(
+                SelfOrganizingEncoder::new(w, low_bits, entries)?,
+                SelfOrganizingDecoder::new(w, low_bits, entries)?,
+            )
+        }
+    }
+}
+
+/// The code's own per-transition invariant (see the module docs).
+fn invariant_for(kind: CodeKind) -> Invariant {
+    match kind {
+        CodeKind::BusInvert => bus_invert_bound,
+        CodeKind::T0 => t0_freeze,
+        CodeKind::T0Bi => t0_bi_invariant,
+        CodeKind::DualT0 => dual_t0_freeze,
+        CodeKind::DualT0Bi => dual_t0_bi_invariant,
+        _ => no_invariant,
+    }
+}
+
 /// Model-checks one code at the given parameters.
 ///
 /// Builds the same encoder/decoder pair as [`CodeKind::encoder`] /
@@ -899,120 +1162,38 @@ pub fn check_code(
     params: CodeParams,
     config: &CheckConfig,
 ) -> Result<Verdict, CodecError> {
-    if params.width.bits() > 16 {
-        return Err(CodecError::InvalidParameter {
-            name: "width",
-            reason: format!(
-                "exhaustive checking requires width <= 16 bits, got {}",
-                params.width.bits()
-            ),
-        });
+    struct Plain<'a> {
+        kind: CodeKind,
+        params: CodeParams,
+        config: &'a CheckConfig,
     }
-    let w = params.width;
-    let s = params.stride;
-    Ok(match kind {
-        CodeKind::Binary => explore(
-            kind,
-            params,
-            BinaryEncoder::new(w),
-            BinaryDecoder::new(w),
-            no_invariant,
-            config,
-        ),
-        CodeKind::Gray => explore(
-            kind,
-            params,
-            GrayEncoder::new(w, s)?,
-            GrayDecoder::new(w, s)?,
-            no_invariant,
-            config,
-        ),
-        CodeKind::BusInvert => explore(
-            kind,
-            params,
-            BusInvertEncoder::new(w),
-            BusInvertDecoder::new(w),
-            bus_invert_bound,
-            config,
-        ),
-        CodeKind::T0 => explore(
-            kind,
-            params,
-            T0Encoder::new(w, s)?,
-            T0Decoder::new(w, s)?,
-            t0_freeze,
-            config,
-        ),
-        CodeKind::T0Bi => explore(
-            kind,
-            params,
-            T0BiEncoder::new(w, s)?,
-            T0BiDecoder::new(w, s)?,
-            t0_bi_invariant,
-            config,
-        ),
-        CodeKind::DualT0 => explore(
-            kind,
-            params,
-            DualT0Encoder::new(w, s)?,
-            DualT0Decoder::new(w, s)?,
-            dual_t0_freeze,
-            config,
-        ),
-        CodeKind::DualT0Bi => explore(
-            kind,
-            params,
-            DualT0BiEncoder::new(w, s)?,
-            DualT0BiDecoder::new(w, s)?,
-            dual_t0_bi_invariant,
-            config,
-        ),
-        CodeKind::T0Xor => explore(
-            kind,
-            params,
-            T0XorEncoder::new(w, s)?,
-            T0XorDecoder::new(w, s)?,
-            no_invariant,
-            config,
-        ),
-        CodeKind::Offset => explore(
-            kind,
-            params,
-            OffsetEncoder::new(w),
-            OffsetDecoder::new(w),
-            no_invariant,
-            config,
-        ),
-        CodeKind::WorkingZone => explore(
-            kind,
-            params,
-            WorkingZoneEncoder::new(w, s, 4)?,
-            WorkingZoneDecoder::new(w, s, 4)?,
-            no_invariant,
-            config,
-        ),
-        CodeKind::Beach => explore(
-            kind,
-            params,
-            BeachCode::identity(w).into_encoder(),
-            BeachCode::identity(w).into_decoder(),
-            no_invariant,
-            config,
-        ),
-        CodeKind::SelfOrganizing => {
-            // Mirror the CodeKind factory's geometry scaling.
-            let low_bits = 8.min(w.bits() - 1);
-            let entries = 16.min(w.bits() - low_bits);
-            explore(
-                kind,
-                params,
-                SelfOrganizingEncoder::new(w, low_bits, entries)?,
-                SelfOrganizingDecoder::new(w, low_bits, entries)?,
-                no_invariant,
-                config,
-            )
+    impl PairVisitor for Plain<'_> {
+        type Output = Verdict;
+        fn visit<E, D>(self, enc: E, dec: D) -> Result<Verdict, CodecError>
+        where
+            E: Encoder + Clone + Eq + Hash,
+            D: Decoder + Clone + Eq + Hash,
+        {
+            let invariant = invariant_for(self.kind);
+            Ok(explore(
+                self.kind,
+                self.params,
+                enc,
+                dec,
+                invariant,
+                self.config,
+            ))
         }
-    })
+    }
+    with_pair(
+        kind,
+        params,
+        Plain {
+            kind,
+            params,
+            config,
+        },
+    )
 }
 
 /// Model-checks every [`CodeKind`] at the given parameters.
@@ -1028,6 +1209,14 @@ pub fn check_all(
         .into_iter()
         .map(|kind| Ok((kind, check_code(kind, params, config)?)))
         .collect()
+}
+
+/// The arguments every wrapper check visits a pair with.
+struct Wrapped<'a> {
+    kind: CodeKind,
+    params: CodeParams,
+    refresh: u64,
+    config: &'a CheckConfig,
 }
 
 /// Model-checks one code wrapped in [`Hardened`] with the given refresh
@@ -1051,142 +1240,42 @@ pub fn check_hardened(
     refresh: u64,
     config: &CheckConfig,
 ) -> Result<Verdict, CodecError> {
-    if params.width.bits() > 16 {
-        return Err(CodecError::InvalidParameter {
-            name: "width",
-            reason: format!(
-                "exhaustive checking requires width <= 16 bits, got {}",
-                params.width.bits()
-            ),
-        });
-    }
-    let w = params.width;
-    let s = params.stride;
-    /// Wraps a concrete pair, reading the redundant line count off the
-    /// encoder so the decoder half matches.
-    fn wrap<E, D>(
-        kind: CodeKind,
-        params: CodeParams,
-        refresh: u64,
-        enc: E,
-        dec: D,
-        config: &CheckConfig,
-    ) -> Result<Verdict, CodecError>
-    where
-        E: Encoder + Clone + Eq + Hash,
-        D: Decoder + Clone + Eq + Hash,
-    {
-        let inner_aux = enc.aux_line_count();
-        Ok(explore_hardened(
-            kind,
-            params,
-            Hardened::encoder(enc, refresh)?,
-            Hardened::with_aux_lines(dec, refresh, inner_aux)?,
-            config,
-        ))
-    }
-    match kind {
-        CodeKind::Binary => wrap(
-            kind,
-            params,
-            refresh,
-            BinaryEncoder::new(w),
-            BinaryDecoder::new(w),
-            config,
-        ),
-        CodeKind::Gray => wrap(
-            kind,
-            params,
-            refresh,
-            GrayEncoder::new(w, s)?,
-            GrayDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::BusInvert => wrap(
-            kind,
-            params,
-            refresh,
-            BusInvertEncoder::new(w),
-            BusInvertDecoder::new(w),
-            config,
-        ),
-        CodeKind::T0 => wrap(
-            kind,
-            params,
-            refresh,
-            T0Encoder::new(w, s)?,
-            T0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            T0BiEncoder::new(w, s)?,
-            T0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0 => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0Encoder::new(w, s)?,
-            DualT0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0BiEncoder::new(w, s)?,
-            DualT0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Xor => wrap(
-            kind,
-            params,
-            refresh,
-            T0XorEncoder::new(w, s)?,
-            T0XorDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::Offset => wrap(
-            kind,
-            params,
-            refresh,
-            OffsetEncoder::new(w),
-            OffsetDecoder::new(w),
-            config,
-        ),
-        CodeKind::WorkingZone => wrap(
-            kind,
-            params,
-            refresh,
-            WorkingZoneEncoder::new(w, s, 4)?,
-            WorkingZoneDecoder::new(w, s, 4)?,
-            config,
-        ),
-        CodeKind::Beach => wrap(
-            kind,
-            params,
-            refresh,
-            BeachCode::identity(w).into_encoder(),
-            BeachCode::identity(w).into_decoder(),
-            config,
-        ),
-        CodeKind::SelfOrganizing => {
-            let low_bits = 8.min(w.bits() - 1);
-            let entries = 16.min(w.bits() - low_bits);
-            wrap(
+    struct Parity<'a>(Wrapped<'a>);
+    impl PairVisitor for Parity<'_> {
+        type Output = Verdict;
+        fn visit<E, D>(self, enc: E, dec: D) -> Result<Verdict, CodecError>
+        where
+            E: Encoder + Clone + Eq + Hash,
+            D: Decoder + Clone + Eq + Hash,
+        {
+            let Wrapped {
                 kind,
                 params,
                 refresh,
-                SelfOrganizingEncoder::new(w, low_bits, entries)?,
-                SelfOrganizingDecoder::new(w, low_bits, entries)?,
                 config,
-            )
+            } = self.0;
+            // Read the redundant line count off the encoder so the
+            // decoder half matches.
+            let inner_aux = enc.aux_line_count();
+            Ok(explore_hardened(
+                kind,
+                params,
+                Hardened::encoder(enc, refresh)?,
+                Hardened::with_aux_lines(dec, refresh, inner_aux)?,
+                config,
+            ))
         }
     }
+    with_pair(
+        kind,
+        params,
+        Parity(Wrapped {
+            kind,
+            params,
+            refresh,
+            config,
+        }),
+    )
 }
 
 /// Model-checks every [`CodeKind`] under [`Hardened`] at the given
@@ -1232,142 +1321,40 @@ pub fn check_ecc(
     refresh: u64,
     config: &CheckConfig,
 ) -> Result<Verdict, CodecError> {
-    if params.width.bits() > 16 {
-        return Err(CodecError::InvalidParameter {
-            name: "width",
-            reason: format!(
-                "exhaustive checking requires width <= 16 bits, got {}",
-                params.width.bits()
-            ),
-        });
-    }
-    let w = params.width;
-    let s = params.stride;
-    /// Wraps a concrete pair, reading the redundant line count off the
-    /// encoder so the decoder half matches.
-    fn wrap<E, D>(
-        kind: CodeKind,
-        params: CodeParams,
-        refresh: u64,
-        enc: E,
-        dec: D,
-        config: &CheckConfig,
-    ) -> Result<Verdict, CodecError>
-    where
-        E: Encoder + Clone + Eq + Hash,
-        D: Decoder + Clone + Eq + Hash,
-    {
-        let inner_aux = enc.aux_line_count();
-        Ok(explore_ecc(
-            kind,
-            params,
-            EccHardened::encoder(enc, refresh)?,
-            EccHardened::with_aux_lines(dec, refresh, inner_aux)?,
-            config,
-        ))
-    }
-    match kind {
-        CodeKind::Binary => wrap(
-            kind,
-            params,
-            refresh,
-            BinaryEncoder::new(w),
-            BinaryDecoder::new(w),
-            config,
-        ),
-        CodeKind::Gray => wrap(
-            kind,
-            params,
-            refresh,
-            GrayEncoder::new(w, s)?,
-            GrayDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::BusInvert => wrap(
-            kind,
-            params,
-            refresh,
-            BusInvertEncoder::new(w),
-            BusInvertDecoder::new(w),
-            config,
-        ),
-        CodeKind::T0 => wrap(
-            kind,
-            params,
-            refresh,
-            T0Encoder::new(w, s)?,
-            T0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            T0BiEncoder::new(w, s)?,
-            T0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0 => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0Encoder::new(w, s)?,
-            DualT0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0BiEncoder::new(w, s)?,
-            DualT0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Xor => wrap(
-            kind,
-            params,
-            refresh,
-            T0XorEncoder::new(w, s)?,
-            T0XorDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::Offset => wrap(
-            kind,
-            params,
-            refresh,
-            OffsetEncoder::new(w),
-            OffsetDecoder::new(w),
-            config,
-        ),
-        CodeKind::WorkingZone => wrap(
-            kind,
-            params,
-            refresh,
-            WorkingZoneEncoder::new(w, s, 4)?,
-            WorkingZoneDecoder::new(w, s, 4)?,
-            config,
-        ),
-        CodeKind::Beach => wrap(
-            kind,
-            params,
-            refresh,
-            BeachCode::identity(w).into_encoder(),
-            BeachCode::identity(w).into_decoder(),
-            config,
-        ),
-        CodeKind::SelfOrganizing => {
-            let low_bits = 8.min(w.bits() - 1);
-            let entries = 16.min(w.bits() - low_bits);
-            wrap(
+    struct Ecc<'a>(Wrapped<'a>);
+    impl PairVisitor for Ecc<'_> {
+        type Output = Verdict;
+        fn visit<E, D>(self, enc: E, dec: D) -> Result<Verdict, CodecError>
+        where
+            E: Encoder + Clone + Eq + Hash,
+            D: Decoder + Clone + Eq + Hash,
+        {
+            let Wrapped {
                 kind,
                 params,
                 refresh,
-                SelfOrganizingEncoder::new(w, low_bits, entries)?,
-                SelfOrganizingDecoder::new(w, low_bits, entries)?,
                 config,
-            )
+            } = self.0;
+            let inner_aux = enc.aux_line_count();
+            Ok(explore_ecc(
+                kind,
+                params,
+                EccHardened::encoder(enc, refresh)?,
+                EccHardened::with_aux_lines(dec, refresh, inner_aux)?,
+                config,
+            ))
         }
     }
+    with_pair(
+        kind,
+        params,
+        Ecc(Wrapped {
+            kind,
+            params,
+            refresh,
+            config,
+        }),
+    )
 }
 
 /// Model-checks every [`CodeKind`] under
@@ -1386,6 +1373,103 @@ pub fn check_ecc_all(
         .into_iter()
         .map(|kind| Ok((kind, check_ecc(kind, params, refresh, config)?)))
         .collect()
+}
+
+/// Model-checks [`Decoder::rewind`] for one code at one protection tier.
+///
+/// Explores the product automaton under conforming traffic (checking
+/// round-trip on every transition) and, for every reachable decoder
+/// state and every word the decoder can observe — each payload, each
+/// pattern of the redundant lines, both `SEL` values — on which `decode`
+/// errs, checks the rollback contract: after `decode` and `rewind`, the
+/// next `decode` of every word returns what it returns from the original
+/// state and lands in the same state. See [`check_rewind_pair`].
+///
+/// The decoder is checked behind a `Box`, as the pipeline and the link
+/// hold it, so a `Box` that failed to forward `rewind` is refuted too.
+/// `refresh` is ignored for [`Tier::Bare`]. Budgets count every probe
+/// decode as a transition; the per-state cost grows with `2^(W + aux)`,
+/// so prefer tighter budgets at width 8 and above.
+///
+/// # Errors
+///
+/// Same width limit as [`check_code`] (≤ 16 bits), plus the wrapper
+/// constructor errors (`refresh == 0` for the parity and ECC tiers).
+pub fn check_rewind(
+    kind: CodeKind,
+    params: CodeParams,
+    tier: Tier,
+    refresh: u64,
+    config: &CheckConfig,
+) -> Result<Verdict, CodecError> {
+    struct Rewind<'a>(Wrapped<'a>, Tier);
+    impl PairVisitor for Rewind<'_> {
+        type Output = Verdict;
+        fn visit<E, D>(self, enc: E, dec: D) -> Result<Verdict, CodecError>
+        where
+            E: Encoder + Clone + Eq + Hash,
+            D: Decoder + Clone + Eq + Hash,
+        {
+            let Wrapped {
+                kind,
+                params,
+                refresh,
+                config,
+            } = self.0;
+            let inner_aux = enc.aux_line_count();
+            Ok(match self.1 {
+                Tier::Bare => check_rewind_pair(kind, params, enc, Box::new(dec), config),
+                Tier::Parity => check_rewind_pair(
+                    kind,
+                    params,
+                    Hardened::encoder(enc, refresh)?,
+                    Box::new(Hardened::with_aux_lines(dec, refresh, inner_aux)?),
+                    config,
+                ),
+                Tier::Ecc => check_rewind_pair(
+                    kind,
+                    params,
+                    EccHardened::encoder(enc, refresh)?,
+                    Box::new(EccHardened::with_aux_lines(dec, refresh, inner_aux)?),
+                    config,
+                ),
+            })
+        }
+    }
+    with_pair(
+        kind,
+        params,
+        Rewind(
+            Wrapped {
+                kind,
+                params,
+                refresh,
+                config,
+            },
+            tier,
+        ),
+    )
+}
+
+/// Model-checks [`Decoder::rewind`] for every [`CodeKind`] at every
+/// [`Tier`].
+///
+/// # Errors
+///
+/// Propagates the first [`check_rewind`] error.
+pub fn check_rewind_all(
+    params: CodeParams,
+    refresh: u64,
+    config: &CheckConfig,
+) -> Result<Vec<(CodeKind, Tier, Verdict)>, CodecError> {
+    let mut verdicts = Vec::new();
+    for kind in CodeKind::all() {
+        for &tier in Tier::all() {
+            let verdict = check_rewind(kind, params, tier, refresh, config)?;
+            verdicts.push((kind, tier, verdict));
+        }
+    }
+    Ok(verdicts)
 }
 
 #[cfg(test)]

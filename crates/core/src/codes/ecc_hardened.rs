@@ -428,6 +428,15 @@ impl<D: Decoder> Decoder for EccHardened<D> {
         self.cycle = 0;
     }
 
+    /// Steps the refresh schedule back over the rejected cycle. A refresh
+    /// reset that fired before the error is not undone: the retried
+    /// cycle is the same refresh cycle, so it resets the inner decoder
+    /// again.
+    fn rewind(&mut self) {
+        self.cycle = (self.cycle + self.refresh - 1) % self.refresh;
+        self.inner.rewind();
+    }
+
     fn corrected_count(&self) -> u64 {
         self.corrected
     }

@@ -79,9 +79,11 @@ impl SolState {
     }
 
     /// Inserts a missed high part at the front, evicting the tail.
+    /// Evicting first keeps the list within its construction capacity,
+    /// so a full list never reallocates.
     fn insert_front(&mut self, high: u64) {
+        self.list.truncate(self.capacity - 1);
         self.list.insert(0, high);
-        self.list.truncate(self.capacity);
     }
 
     fn reset(&mut self) {

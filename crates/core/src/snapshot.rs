@@ -4,9 +4,13 @@
 //! The stateful codes buy their savings with registers shared between
 //! encoder and decoder (T0's reference address, the working-zone bases,
 //! the self-organizing list). A long-running stream runtime therefore
-//! needs to *capture* and *restore* that state — for crash recovery, for
-//! migrating a stream between processes, and for the supervisor's
-//! retry-after-restore policy in `buscode-pipeline`.
+//! needs to *capture* and *restore* that state — for checkpoints: crash
+//! recovery and migrating a stream between processes.
+//!
+//! Images are not the retry mechanism. The supervisor in
+//! `buscode-pipeline` and the link receiver in `buscode-link` roll a
+//! rejected decode back with [`Decoder::rewind`], which needs no image,
+//! so the per-word hot path never builds one.
 //!
 //! Every encoder and decoder in this crate implements [`Snapshot`]:
 //!

@@ -233,6 +233,24 @@ pub trait Decoder {
     /// Returns the decoder to its hardware-reset state.
     fn reset(&mut self);
 
+    /// Undoes the state change of a [`Decoder::decode`] call that just
+    /// returned `Err`, so the same cycle can be decoded again — the
+    /// rollback a supervisor performs before a retransmission, without
+    /// capturing a state image on every word.
+    ///
+    /// The guarantee is behavioural: after `decode` fails and `rewind`
+    /// runs, the next `decode` behaves exactly as if the rejected call
+    /// had never happened. It holds only directly after a failed
+    /// `decode`; calling it at any other time is a logic error.
+    ///
+    /// The default is a no-op, which is correct for every decoder that
+    /// rejects a word before touching its state — all the inner codes of
+    /// this crate. Wrappers whose failing path still advances state (the
+    /// refresh schedule of [`Hardened`][crate::codes::Hardened] and
+    /// [`EccHardened`][crate::codes::EccHardened]) step it back and
+    /// forward the call to their inner decoder.
+    fn rewind(&mut self) {}
+
     /// How many transmitted words this decoder has repaired in-flight
     /// since construction (forward error correction telemetry).
     ///
@@ -270,6 +288,10 @@ impl<D: Decoder + ?Sized> Decoder for Box<D> {
 
     fn reset(&mut self) {
         (**self).reset()
+    }
+
+    fn rewind(&mut self) {
+        (**self).rewind()
     }
 
     fn corrected_count(&self) -> u64 {

@@ -164,7 +164,7 @@ pub struct LinkMetrics {
     /// Frames the receiver rejected on CRC before decoding.
     pub crc_rejections: u64,
     /// Frames that passed CRC but whose decode was rejected (decoder
-    /// state rolled back via snapshot, NAK sent).
+    /// rewound, NAK sent).
     pub decode_rejections: u64,
     /// In-window duplicate frames the receiver re-ACKed without decoding.
     pub duplicates: u64,
@@ -472,12 +472,19 @@ impl LinkSession {
     }
 
     /// Rebuilds the sender's encoder at `tier` and schedules a beacon so
-    /// the receiver can re-align; every unacknowledged word re-encodes.
+    /// the receiver can re-align; every word from `from` (the next word
+    /// to put on the wire) on re-encodes at the new tier.
+    ///
+    /// The frame cache must stay a prefix of the encoder chain: frames
+    /// below `from` were encoded before the beacon, so they keep their
+    /// cached form. Clearing them too would re-encode them *after* the
+    /// beacon on a go-back, leaving the encoder one word ahead of the
+    /// receiver for every later fresh word.
     fn retier(
         &mut self,
         tier: Tier,
         encoded: &mut [Option<Frame>],
-        base: usize,
+        from: usize,
         force_beacon: &mut bool,
     ) -> Result<(), CodecError> {
         self.enc = build_encoder(
@@ -487,7 +494,7 @@ impl LinkSession {
             tier,
         )?;
         self.sender_tier = tier;
-        for slot in encoded[base..].iter_mut() {
+        for slot in encoded[from..].iter_mut() {
             *slot = None;
         }
         *force_beacon = true;
@@ -503,7 +510,7 @@ impl LinkSession {
     ///
     /// # Errors
     ///
-    /// Returns codec construction or snapshot-restore errors; channel
+    /// Returns codec construction errors; channel
     /// corruption never surfaces as an error, only as counters.
     pub fn run(mut self, stream: &[Access]) -> Result<SessionOutcome, CodecError> {
         let total = stream.len();
@@ -625,7 +632,7 @@ impl LinkSession {
 
             if let Some(tier) = pending_retier {
                 if tier != self.sender_tier {
-                    self.retier(tier, &mut encoded, base, &mut force_beacon)?;
+                    self.retier(tier, &mut encoded, next, &mut force_beacon)?;
                 }
             }
 
@@ -702,7 +709,7 @@ impl LinkSession {
     }
 
     /// The receiver's half of one cycle: CRC gate, sequence check,
-    /// tier re-alignment, decode with snapshot rollback.
+    /// tier re-alignment, decode with rewind on rejection.
     #[allow(clippy::too_many_arguments)]
     fn receive(
         &mut self,
@@ -772,7 +779,6 @@ impl LinkSession {
             self.dec.reset();
         }
 
-        let image = self.dec.snapshot();
         let access = stream[*expected];
         match self.dec.decode(frame.word, access.kind) {
             Ok(address) => {
@@ -785,9 +791,9 @@ impl LinkSession {
                 feedback.push_back((arrival, Feedback::Ack(*expected)));
             }
             Err(_) => {
-                // The decoder flagged the word; roll its state back and
-                // ask for the frame again.
-                self.dec.restore(&image)?;
+                // The decoder flagged the word; rewind the rejected
+                // decode and ask for the frame again.
+                self.dec.rewind();
                 stats.decode_rejections += 1;
                 feedback.push_back((arrival, Feedback::Nak(*expected)));
             }

@@ -372,10 +372,9 @@ impl Pipeline {
 
         let (enc, dec) = self.active_halves();
         let wire_word = enc.encode(access);
-        let pre_decode = dec.snapshot();
         let mut outcome = decode_once(dec.as_mut(), channel, position, wire_word, access, expected);
 
-        // Transient faults: roll the decoder back and retransmit, with
+        // Transient faults: rewind the rejected decode and retransmit, with
         // capped exponential backoff (the shared schedule the link-layer
         // ARQ timers also run on), until the retry budget runs out.
         if recovery.enabled {
@@ -393,11 +392,9 @@ impl Pipeline {
                 self.stats.backoff_cycles += backoff.delay(attempt);
                 attempt += 1;
                 let (_, dec) = self.active_halves();
-                dec.restore(&pre_decode)
-                    .map_err(|error| PipelineError::Fatal {
-                        word: position,
-                        error,
-                    })?;
+                // A transient outcome is always a decode that returned
+                // `Err`, which is exactly what `rewind` undoes.
+                dec.rewind();
                 outcome = decode_once(dec.as_mut(), channel, position, wire_word, access, expected);
             }
         } else if !matches!(outcome, DecodeOutcome::Ok(_)) {

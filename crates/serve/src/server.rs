@@ -18,8 +18,9 @@
 //! final [`ServeMetrics`] — zero in-flight words lost.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use buscode_core::{BusWidth, CodeParams, Stride, Tier};
@@ -156,6 +157,9 @@ struct Shared {
     next_session: AtomicU64,
     draining: AtomicBool,
     close_listener: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// Reader threads the accept loop holds a handle for, as of the
+    /// last accepted connection.
+    reader_threads: AtomicUsize,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -212,6 +216,7 @@ impl Server {
                 next_session: AtomicU64::new(1),
                 draining: AtomicBool::new(false),
                 close_listener: Mutex::new(None),
+                reader_threads: AtomicUsize::new(0),
             }),
         }
     }
@@ -247,14 +252,21 @@ impl Server {
             })
             .collect();
 
-        let mut readers = Vec::new();
+        let mut readers: Vec<JoinHandle<()>> = Vec::new();
         loop {
             match listener.accept() {
                 Ok(Some(transport)) => {
+                    // Join the readers whose connections have ended, so a
+                    // long-lived server holds one handle per live
+                    // connection rather than one per connection ever made.
+                    reap_finished(&mut readers);
                     let shared = Arc::clone(&self.shared);
                     readers.push(std::thread::spawn(move || {
                         reader_loop(&shared, transport);
                     }));
+                    self.shared
+                        .reader_threads
+                        .store(readers.len(), Ordering::Relaxed);
                 }
                 Ok(None) => break,
                 Err(err) => {
@@ -273,11 +285,19 @@ impl Server {
     }
 }
 
-fn drain(
-    shared: &Arc<Shared>,
-    readers: Vec<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-) {
+/// Joins and drops every reader thread that has already returned.
+fn reap_finished(readers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < readers.len() {
+        if readers[i].is_finished() {
+            let _ = readers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+fn drain(shared: &Arc<Shared>, readers: Vec<JoinHandle<()>>, workers: Vec<JoinHandle<()>>) {
     // Half-close every live session's inbound direction: peers can no
     // longer submit, but frames already buffered still reach the
     // readers, which enqueue them and then a CLOSE at EOF.
@@ -703,6 +723,32 @@ mod tests {
         assert_eq!(metrics.shed_frames, 0);
         assert_eq!(metrics.sessions_opened, 1);
         assert_eq!(metrics.sessions_closed, 1);
+    }
+
+    #[test]
+    fn finished_readers_are_joined_at_accept() {
+        let (listener, connector) = memory_listener();
+        let server = Server::new(ServerConfig::default());
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run(Box::new(listener)).unwrap());
+
+        let mut peak = 0;
+        for _ in 0..500 {
+            let (mut recv, mut send) = open_session(&connector, Tier::Bare);
+            peak = peak.max(handle.shared.reader_threads.load(Ordering::Relaxed));
+            send.send(&Message::Close.encode()).unwrap();
+            let closed = Message::decode(&recv.recv().unwrap().unwrap()).unwrap();
+            assert_eq!(closed, Message::Closed { words: 0, shed: 0 });
+        }
+        handle.shutdown();
+        let metrics = run.join().unwrap();
+        assert_eq!(metrics.sessions_opened, 500);
+        // One session at a time is open, so only the readers that have
+        // not yet seen their peer's EOF can be held.
+        assert!(
+            peak <= 16,
+            "reader handles grew to {peak} over 500 sessions"
+        );
     }
 
     #[test]

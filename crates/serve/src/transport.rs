@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -404,17 +404,24 @@ impl SendHalf for TcpSend {
     }
 }
 
-/// A [`Listener`] over a bound [`std::net::TcpListener`], pollable so
-/// the admin shutdown path can unblock `accept`.
+/// A [`Listener`] over a bound [`std::net::TcpListener`].
+///
+/// `accept` blocks in the kernel, so a new connection is picked up the
+/// moment it arrives. The closer sets the stop flag and then wakes the
+/// blocked `accept` by connecting to the listener's own address; the
+/// woken `accept` sees the flag and returns `Ok(None)`.
 pub struct TcpListenerAdapter {
     listener: std::net::TcpListener,
+    /// Where the closer dials to wake a blocked `accept` (the bound
+    /// address, with an unspecified IP replaced by loopback).
+    wake_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     backoff: Backoff,
     attempt: u32,
 }
 
 impl TcpListenerAdapter {
-    /// Binds to `addr` in non-blocking mode.
+    /// Binds to `addr` in blocking mode.
     ///
     /// # Errors
     ///
@@ -423,11 +430,18 @@ impl TcpListenerAdapter {
         let listener = std::net::TcpListener::bind(addr).map_err(|e| WireError::Io {
             detail: format!("bind {addr}: {e}"),
         })?;
-        listener.set_nonblocking(true).map_err(|e| WireError::Io {
+        let mut wake_addr = listener.local_addr().map_err(|e| WireError::Io {
             detail: e.to_string(),
         })?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         Ok(TcpListenerAdapter {
             listener,
+            wake_addr,
             stop: Arc::new(AtomicBool::new(false)),
             backoff: Backoff::new(1, 100),
             attempt: 0,
@@ -439,7 +453,7 @@ impl TcpListenerAdapter {
     /// # Errors
     ///
     /// Returns [`WireError::Io`] when the socket address is unavailable.
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr, WireError> {
+    pub fn local_addr(&self) -> Result<SocketAddr, WireError> {
         self.listener.local_addr().map_err(|e| WireError::Io {
             detail: e.to_string(),
         })
@@ -453,18 +467,15 @@ impl Listener for TcpListenerAdapter {
                 return Ok(None);
             }
             match self.listener.accept() {
+                // The closer's wake-up connection (or a peer that raced
+                // it): either way the listener is closing.
+                Ok(_) if self.stop.load(Ordering::Acquire) => return Ok(None),
                 Ok((stream, _peer)) => {
                     self.attempt = 0;
-                    stream.set_nonblocking(false).map_err(|e| WireError::Io {
-                        detail: e.to_string(),
-                    })?;
                     let transport = TcpTransport::new(stream).map_err(|e| WireError::Io {
                         detail: e.to_string(),
                     })?;
                     return Ok(Some(Box::new(transport)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -484,7 +495,13 @@ impl Listener for TcpListenerAdapter {
 
     fn closer(&self) -> Box<dyn Fn() + Send + Sync> {
         let stop = Arc::clone(&self.stop);
-        Box::new(move || stop.store(true, Ordering::Release))
+        let wake_addr = self.wake_addr;
+        Box::new(move || {
+            stop.store(true, Ordering::Release);
+            // Unblock `accept`. If the dial fails the listener is already
+            // unreachable, and so is anything `accept` could wait for.
+            let _ = TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1));
+        })
     }
 }
 

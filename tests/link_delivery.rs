@@ -6,8 +6,10 @@
 use buscode::core::rng::Rng64;
 use buscode::core::Tier;
 use buscode::core::{Access, BusWidth, CodeKind, CodeParams, Stride};
+use buscode::fault::campaign::stream_for;
 use buscode::fault::GilbertElliott;
 use buscode::link::{LinkConfig, LinkSession};
+use buscode::trace::StreamKind;
 
 /// A width-respecting mixed instruction/data stream: mostly sequential
 /// strides with occasional jumps, the shape the DATE'98 codes exist for.
@@ -161,4 +163,47 @@ fn adaptive_ladder_escalates_under_a_storm_and_still_delivers_in_order() {
         escalated >= 6,
         "the storm should push most codes up the ladder, got {escalated}/12"
     );
+}
+
+/// An ACK-driven tier change while frames are in flight must not put the
+/// encoder a word ahead of the receiver. These four cells replay the
+/// `perfbench` fault campaign's link part (muxed stream, bursty weather,
+/// adaptive default config) at seeds where a go-back follows such a
+/// change: a sender that cleared its frame cache below the new-tier
+/// beacon would re-encode the older words after the beacon and deliver
+/// wrong addresses without an error until the next beacon.
+#[test]
+fn mid_window_tier_change_keeps_the_encoder_in_step() {
+    const STREAM_WORDS: usize = 32768;
+    const LINK_WORDS: usize = 4096;
+    let bursty = GilbertElliott::named("bursty").expect("profile");
+    let cells = [
+        (44u64, CodeKind::T0Xor),
+        (120, CodeKind::WorkingZone),
+        (244, CodeKind::WorkingZone),
+        (360, CodeKind::WorkingZone),
+    ];
+    for (seed, kind) in cells {
+        let stream = stream_for(StreamKind::Muxed, STREAM_WORDS, seed);
+        let ci = CodeKind::all()
+            .iter()
+            .position(|&k| k == kind)
+            .expect("listed code") as u64;
+        let cell_seed = seed ^ (ci + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let offered = &stream[..LINK_WORDS];
+        let outcome = LinkSession::new(LinkConfig::new(kind), bursty, cell_seed)
+            .expect("build")
+            .run(offered)
+            .expect("run");
+        assert_eq!(
+            outcome.stats.corrupted_delivered, 0,
+            "{kind} seed {seed}: silent corruption"
+        );
+        assert_eq!(
+            outcome.stats.lost_words, 0,
+            "{kind} seed {seed}: lost words"
+        );
+        let addresses: Vec<u64> = offered.iter().map(|a| a.address).collect();
+        assert_eq!(outcome.delivered, addresses, "{kind} seed {seed}");
+    }
 }

@@ -9,9 +9,11 @@
 use buscode::core::{Access, CodeKind, Tier};
 use buscode::engine::Report;
 use buscode::serve::{
-    memory_listener, run_load, session_workload, ClientConfig, ClientSession, LoadConfig,
-    MemoryConnector, Message, Server, ServerConfig, Transport, WireError,
+    connect_with_retry, memory_listener, run_load, session_workload, ClientConfig, ClientSession,
+    LoadConfig, MemoryConnector, Message, Server, ServerConfig, TcpListenerAdapter, Transport,
+    WireError,
 };
+use std::time::{Duration, Instant};
 
 /// Spawns a server over an in-memory listener; returns the connector,
 /// the drain handle, and the join handle yielding the final metrics.
@@ -207,6 +209,37 @@ fn admin_shutdown_frame_acknowledges_and_stops_the_server() {
     assert!(
         connector.connect().is_err(),
         "listener must refuse connections after drain"
+    );
+}
+
+/// Over real TCP the listener blocks in `accept`; an admin SHUTDOWN
+/// must still wake it (the closer dials the listener's own address), so
+/// the server drains and returns at once instead of hanging in the
+/// kernel.
+#[test]
+fn tcp_admin_shutdown_wakes_the_blocked_accept_promptly() {
+    let listener = TcpListenerAdapter::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let join = std::thread::spawn(move || {
+        let metrics = Server::new(ServerConfig::default())
+            .run(Box::new(listener))
+            .expect("server run must not fail");
+        let _ = done_tx.send(());
+        metrics
+    });
+    let transport = connect_with_retry(&addr, 10).expect("connect");
+    let asked = Instant::now();
+    buscode::serve::shutdown_server(Box::new(transport)).expect("shutdown handshake");
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("server must return after an admin SHUTDOWN");
+    let waited = asked.elapsed();
+    let metrics = join.join().expect("server thread");
+    assert_eq!(metrics.shutdowns, 1);
+    assert!(
+        waited < Duration::from_secs(1),
+        "shutdown took {waited:?} to return"
     );
 }
 
